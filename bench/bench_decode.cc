@@ -9,10 +9,12 @@
  * whole batch to drain. Continuous (in-flight) batching re-forms the
  * batch every round, so sustained tokens/sec tracks the mean output
  * length instead of the batch max. This bench sweeps output-length
- * variance (low: 12-16-word sources; high: 4-48) and drives the same
+ * variance (low: 12-16-word sources; high: 2-64) and drives the same
  * DecoderEngine through both modes, gating on:
  *
- *  - continuous >= 1.5x static sustained tokens/sec at high variance
+ *  - continuous >= 1.5x static sustained tokens/sec at high variance,
+ *    judged on the median of 5 paired (static, continuous) ratios
+ *    over 3,072-sequence runs (about a second per mode per run)
  *  - continuous TTFT p99 no worse than static
  *  - zero sequences shed, every sequence completed, in both modes
  *  - streamed output bit-identical to the eager reference decode
@@ -31,6 +33,7 @@
 #include <map>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/bench_json.h"
@@ -94,7 +97,9 @@ using namespace mlperf;
 namespace {
 
 constexpr size_t kSlots = 8;
-constexpr uint64_t kSequences = 384;
+/** Sequences per measured run: enough that each mode's window lasts
+ *  about a second at high variance, so host noise averages out. */
+constexpr uint64_t kSequences = 3072;
 constexpr int kReps = 5;  //!< paired reps: wall-clock noise control
 
 /** Records per-sequence TTFT (issue to first token) and responses. */
@@ -167,9 +172,23 @@ makeSamples(uint64_t count, uint64_t dataset_size)
     return samples;
 }
 
+/** Eager-reference response string per dataset index. */
+std::vector<std::string>
+referenceResponses(const data::TranslationDataset &dataset,
+                   const nn::DecoderModel &model)
+{
+    std::vector<std::string> out;
+    for (int64_t i = 0; i < dataset.size(); ++i)
+        out.push_back(sut::encodeTokens(
+            model.referenceDecode(dataset.source(i))));
+    return out;
+}
+
 ModeResult
 runModeOnce(const data::TranslationDataset &dataset,
-            const nn::DecoderModel &model, serving::BatchingMode mode)
+            const nn::DecoderModel &model,
+            const std::vector<std::string> &expected,
+            serving::BatchingMode mode)
 {
     sut::TranslationQsl qsl(dataset);
     std::vector<loadgen::QuerySampleIndex> all;
@@ -182,6 +201,7 @@ runModeOnce(const data::TranslationDataset &dataset,
     serving::ContinuousBatcherOptions opts;
     opts.mode = mode;
     opts.startThread = false;  // direct drive: measure compute, not parking
+    opts.ringCapacity = kSequences;  // the whole burst is admitted
     serving::ContinuousBatcher batcher(engine, ex, opts);
     StreamProbe probe(ex);
 
@@ -211,12 +231,7 @@ runModeOnce(const data::TranslationDataset &dataset,
             : 0.0;
     r.ttftP99 = stats::LatencySummary::from(probe.ttftSamples()).p99;
     for (const auto &entry : probe.data_) {
-        const auto index =
-            entry.first % static_cast<uint64_t>(dataset.size());
-        const std::string expected = sut::encodeTokens(
-            model.referenceDecode(
-                dataset.source(static_cast<int64_t>(index))));
-        if (entry.second != expected)
+        if (entry.second != expected[entry.first % expected.size()])
             ++r.mismatches;
     }
     return r;
@@ -245,7 +260,8 @@ mergeRep(ModeResult &acc, const ModeResult &r)
 struct AxisRun
 {
     ModeResult st, ct;
-    double speedup = 0.0;  //!< median of paired per-rep ratios
+    /** Paired per-rep ratios (continuous / static): median gates. */
+    double speedupMin = 0.0, speedup = 0.0, speedupMax = 0.0;
 };
 
 /**
@@ -258,12 +274,14 @@ runAxis(const data::TranslationDataset &dataset,
         const nn::DecoderModel &model)
 {
     AxisRun out;
+    const std::vector<std::string> expected =
+        referenceResponses(dataset, model);
     std::vector<double> ratios;
     for (int rep = 0; rep < kReps; ++rep) {
-        const ModeResult st =
-            runModeOnce(dataset, model, serving::BatchingMode::Static);
+        const ModeResult st = runModeOnce(dataset, model, expected,
+                                          serving::BatchingMode::Static);
         const ModeResult ct = runModeOnce(
-            dataset, model, serving::BatchingMode::Continuous);
+            dataset, model, expected, serving::BatchingMode::Continuous);
         if (st.tokensPerSec > 0)
             ratios.push_back(ct.tokensPerSec / st.tokensPerSec);
         if (rep == 0) {
@@ -275,8 +293,11 @@ runAxis(const data::TranslationDataset &dataset,
         }
     }
     std::sort(ratios.begin(), ratios.end());
-    if (!ratios.empty())
+    if (!ratios.empty()) {
+        out.speedupMin = ratios.front();
         out.speedup = ratios[ratios.size() / 2];
+        out.speedupMax = ratios.back();
+    }
     return out;
 }
 
@@ -367,12 +388,15 @@ main()
     json.beginObject()
         .field("benchmark", "decode_batching")
         .field("slots", static_cast<uint64_t>(kSlots))
-        .field("sequences", kSequences);
+        .field("sequences", kSequences)
+        .field("cpus", static_cast<uint64_t>(std::max(
+                           1u, std::thread::hardware_concurrency())))
+        .field("reps", static_cast<uint64_t>(kReps));
     json.beginArray("axes");
 
     report::Table table({"Axis", "Mode", "Tokens/s", "TTFT p99 (us)",
                          "Pad steps", "Slot util"});
-    double high_variance_speedup = 0.0;
+    AxisRun high_variance;
     for (const Axis &axis : axes) {
         const data::TranslationConfig config =
             axisConfig(axis.minLen, axis.maxLen);
@@ -394,7 +418,7 @@ main()
         const long allocs = steadyStateAllocs(dataset, model);
         const double speedup = run.speedup;
         if (axis.maxLen > 16)
-            high_variance_speedup = speedup;
+            high_variance = run;
 
         for (const ModeResult *r : {&st, &ct}) {
             const bool is_static = r == &st;
@@ -472,6 +496,8 @@ main()
             .field("static_tokens_per_sec", st.tokensPerSec, 1)
             .field("continuous_tokens_per_sec", ct.tokensPerSec, 1)
             .field("speedup_vs_static", speedup)
+            .field("speedup_min", run.speedupMin)
+            .field("speedup_max", run.speedupMax)
             .field("static_ttft_p99_ns", st.ttftP99)
             .field("continuous_ttft_p99_ns", ct.ttftP99)
             .field("static_pad_steps", st.padSteps)
@@ -494,14 +520,16 @@ main()
 
     std::printf("%s", table.str().c_str());
     std::printf("\nHigh-variance speedup (continuous / static): "
-                "%.2fx (gate: >= 1.50x)\n",
-                high_variance_speedup);
-    if (high_variance_speedup < 1.5) {
+                "%.2fx median of %d paired reps, range %.2f-%.2fx "
+                "(gate: median >= 1.50x)\n",
+                high_variance.speedup, kReps, high_variance.speedupMin,
+                high_variance.speedupMax);
+    if (high_variance.speedup < 1.5) {
         std::printf("FAIL: continuous batching must sustain >= 1.5x "
                     "static tokens/sec at high length variance\n");
         ++failures;
     }
-    json.field("high_variance_speedup", high_variance_speedup)
+    json.field("high_variance_speedup", high_variance.speedup)
         .field("pass", failures == 0)
         .endObject();
     if (!bench::writeBenchJson(json.str(), "BENCH_decode.json"))

@@ -293,6 +293,36 @@ BM_GemmEpilogueFused(benchmark::State &state)
 BENCHMARK(BM_GemmEpilogueFused)->Arg(128)->Arg(256)->Arg(512);
 
 void
+BM_DecodeProjection(benchmark::State &state)
+{
+    // The streaming decoder's vocab projection (vocab 2048, dim 32,
+    // bias fused) at m rows: m = 1 is today's per-slot decode step,
+    // m = 8 what gathering 8 slots into one GEMM would run. s_per_row
+    // is the number that decides whether the gather pays.
+    const int64_t m = state.range(0);
+    const int64_t vocab = 2048, dim = 32;
+    ThreadPool::setGlobalThreads(1);
+    Tensor w = randomTensor(Shape{vocab, dim}, 1);
+    Tensor x = randomTensor(Shape{m, dim}, 2);
+    std::vector<float> bias(static_cast<size_t>(vocab), 0.5f);
+    const tensor::PackedMatrix packed =
+        tensor::packMatrixB(w.data(), dim, vocab, /*b_trans=*/true);
+    tensor::GemmEpilogue epilogue;
+    epilogue.bias = bias.data();
+    Tensor y(Shape{m, vocab});
+    for (auto _ : state) {
+        tensor::gemmPrepacked(x.data(), packed, y.data(), m, vocab, dim,
+                              epilogue);
+        benchmark::DoNotOptimize(y.data());
+    }
+    state.counters["s_per_row"] = benchmark::Counter(
+        static_cast<double>(m) * static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    setFlops(state, 2 * m * vocab * dim);
+}
+BENCHMARK(BM_DecodeProjection)->Arg(1)->Arg(8)->ArgName("m");
+
+void
 BM_DenseForward(benchmark::State &state)
 {
     const int64_t batch = state.range(0);
@@ -472,20 +502,24 @@ void
 BM_LstmCellStep(benchmark::State &state)
 {
     const int64_t hidden = state.range(0);
+    const int64_t batch = state.range(1);
     Rng rng(8);
     nn::LSTMCell cell(
         nn::heNormal(Shape{4 * hidden, hidden}, hidden, rng),
         nn::heNormal(Shape{4 * hidden, hidden}, hidden, rng),
         nn::zeroBias(4 * hidden));
-    auto cell_state = cell.initialState(1);
-    Tensor x = randomTensor(Shape{1, hidden}, 9);
+    auto cell_state = cell.initialState(batch);
+    Tensor x = randomTensor(Shape{batch, hidden}, 9);
     for (auto _ : state) {
         cell.step(x, cell_state);
         benchmark::DoNotOptimize(cell_state.h.data());
     }
-    setFlops(state, static_cast<int64_t>(cell.flopsPerStep()));
+    // flopsPerStep() is per sequence; a step advances batch of them.
+    setFlops(state, batch * static_cast<int64_t>(cell.flopsPerStep()));
 }
-BENCHMARK(BM_LstmCellStep)->Arg(32)->Arg(128);
+BENCHMARK(BM_LstmCellStep)
+    ->ArgsProduct({{32, 128}, {1, 8}})
+    ->ArgNames({"hidden", "batch"});
 
 /** Small ResNet-class model for the eager-vs-compiled comparison. */
 nn::Sequential
@@ -538,8 +572,9 @@ BM_ModelForwardEager(benchmark::State &state)
     state.counters["allocs_per_query"] = benchmark::Counter(
         static_cast<double>(allocs) /
         static_cast<double>(state.iterations()));
+    // Layer::flops() counts one sample (nn/layer.h); scale by batch.
     setFlops(state,
-             static_cast<int64_t>(model.flops(input.shape())));
+             batch * static_cast<int64_t>(model.flops(input.shape())));
 }
 BENCHMARK(BM_ModelForwardEager)->Arg(1)->Arg(8)->ArgName("batch");
 
@@ -622,8 +657,9 @@ benchCompiledForward(benchmark::State &state,
         static_cast<double>(plan.naiveFloats) * 4.0 / 1024.0);
     state.counters["const_kb"] = benchmark::Counter(
         static_cast<double>(plan.constantBytes) / 1024.0);
+    // Layer::flops() counts one sample (nn/layer.h); scale by batch.
     setFlops(state,
-             static_cast<int64_t>(model.flops(input.shape())));
+             batch * static_cast<int64_t>(model.flops(input.shape())));
 }
 
 void

@@ -36,15 +36,18 @@ DecoderModel::DecoderModel(DecoderArch arch, Tensor embed_table,
     : arch_(arch), embed_(std::move(embed_table)),
       posEnc_(std::move(pos_enc)),
       encoderCell_(std::move(encoder_cell)),
-      decoderCell_(std::move(decoder_cell)), projW_(std::move(proj_w)),
+      decoderCell_(std::move(decoder_cell)),
+      projW_(tensor::packMatrixB(proj_w.data(), proj_w.shape().dim(1),
+                                 proj_w.shape().dim(0),
+                                 /*b_trans=*/true)),
       projBias_(std::move(proj_bias))
 {
     assert(embed_.vocabSize() == arch_.vocab);
     assert(embed_.dim() == arch_.embedDim);
     assert(posEnc_.shape().dim(0) >= arch_.maxSrcSteps);
     assert(posEnc_.shape().dim(1) == arch_.embedDim);
-    assert(projW_.shape().dim(0) == arch_.vocab);
-    assert(projW_.shape().dim(1) == arch_.embedDim);
+    assert(projW_.cols() == arch_.vocab);
+    assert(projW_.rows() == arch_.embedDim);
     assert(static_cast<int64_t>(projBias_.size()) == arch_.vocab);
 }
 
@@ -106,9 +109,7 @@ DecoderModel::decodeStep(DecodeState &state,
     dotAttentionInto(state.encStates_.data(), state.srcSteps_, dim,
                      scratch.query_.data(), scratch.context_.data(),
                      scratch.scores_.data());
-    tensor::denseForward(projW_.data(), projBias_.data(),
-                         scratch.context_.data(),
-                         scratch.logits_.data(), 1, dim, arch_.vocab);
+    project(scratch.context_.data(), scratch.logits_.data());
     const int64_t token = argmaxRow(scratch.logits_.data(), arch_.vocab);
 
     state.output_.push_back(token);
@@ -146,9 +147,7 @@ DecoderModel::padStep(const DecodeState &state,
     dotAttentionInto(state.encStates_.data(), state.srcSteps_, dim,
                      scratch.query_.data(), scratch.context_.data(),
                      scratch.scores_.data());
-    tensor::denseForward(projW_.data(), projBias_.data(),
-                         scratch.context_.data(),
-                         scratch.logits_.data(), 1, dim, arch_.vocab);
+    project(scratch.context_.data(), scratch.logits_.data());
     // A padded batch computes the argmax on every lane too and masks
     // the result afterwards; skipping it here would make padding
     // cheaper than the equal-work claim. Result discarded.
@@ -190,9 +189,7 @@ DecoderModel::referenceDecode(const std::vector<int64_t> &source) const
         }
         const Tensor ctx = dotAttention(enc_states, query);
         Tensor logits(Shape{1, arch_.vocab});
-        tensor::denseForward(projW_.data(), projBias_.data(),
-                             ctx.data(), logits.data(), 1, dim,
-                             arch_.vocab);
+        project(ctx.data(), logits.data());
         const int64_t token = argmaxRow(logits.data(), arch_.vocab);
         output.push_back(token);
         if (token == arch_.eosToken)
@@ -200,6 +197,15 @@ DecoderModel::referenceDecode(const std::vector<int64_t> &source) const
         prev = token;
     }
     return output;
+}
+
+void
+DecoderModel::project(const float *context, float *logits) const
+{
+    tensor::GemmEpilogue with_bias;
+    with_bias.bias = projBias_.data();
+    tensor::gemmPrepacked(context, projW_, logits, 1, arch_.vocab,
+                          arch_.embedDim, with_bias);
 }
 
 uint64_t

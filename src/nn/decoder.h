@@ -14,10 +14,14 @@
  *
  * The incremental path is bit-identical to the unrolled eager
  * reference (referenceDecode) by construction: every step delegates
- * to the same stepInto/dotAttentionInto/denseForward calls at batch 1
- * with per-sequence buffers, so a sequence's compute never depends on
- * which other sequences share the batch — the property that makes
- * continuous batching (sequences joining/leaving mid-batch) safe.
+ * to the same stepInto/dotAttentionInto/gemmPrepacked calls with
+ * per-sequence buffers. Every dense op on the path (the LSTM gate
+ * projections and the vocab projection) runs on weights packed once
+ * for gemmPrepacked(), whose per-row result is bit-identical at any
+ * batch size; so a sequence's numerics depend neither on which other
+ * sequences share the round nor on how many rows a future batched
+ * step would stack — the property that makes continuous batching
+ * (sequences joining/leaving mid-batch) safe.
  */
 
 #ifndef MLPERF_NN_DECODER_H
@@ -28,6 +32,7 @@
 #include <vector>
 
 #include "nn/rnn.h"
+#include "tensor/gemm.h"
 #include "tensor/tensor.h"
 
 namespace mlperf {
@@ -219,13 +224,16 @@ class DecoderModel
     uint64_t flopsPerToken(int64_t src_steps) const;
 
   private:
+    /** logits [vocab] = context [dim] * W^T + bias. */
+    void project(const float *context, float *logits) const;
+
     DecoderArch arch_;
     Embedding embed_;
     tensor::Tensor posEnc_;
     LSTMCell encoderCell_;
     LSTMCell decoderCell_;
-    tensor::Tensor projW_;          //!< [vocab, dim]
-    std::vector<float> projBias_;
+    tensor::PackedMatrix projW_;    //!< packed [vocab, dim] head
+    std::vector<float> projBias_;   //!< fused into projW_'s epilogue
 };
 
 } // namespace nn

@@ -37,13 +37,25 @@ Embedding::lookupInto(int64_t token, float *out) const
                 static_cast<size_t>(dim()) * sizeof(float));
 }
 
-LSTMCell::LSTMCell(Tensor w_x, Tensor w_h, std::vector<float> bias)
-    : wX_(std::move(w_x)), wH_(std::move(w_h)), bias_(std::move(bias))
+namespace {
+
+/** Pack a [out, in] weight as the B operand of x * W^T. */
+tensor::PackedMatrix
+packWeight(const Tensor &w)
 {
-    assert(wX_.shape().rank() == 2 && wH_.shape().rank() == 2);
-    assert(wX_.shape().dim(0) == wH_.shape().dim(0));
-    assert(wX_.shape().dim(0) == 4 * wH_.shape().dim(1));
-    assert(static_cast<int64_t>(bias_.size()) == wX_.shape().dim(0));
+    assert(w.shape().rank() == 2);
+    return tensor::packMatrixB(w.data(), w.shape().dim(1),
+                               w.shape().dim(0), /*b_trans=*/true);
+}
+
+} // namespace
+
+LSTMCell::LSTMCell(Tensor w_x, Tensor w_h, std::vector<float> bias)
+    : wX_(packWeight(w_x)), wH_(packWeight(w_h)), bias_(std::move(bias))
+{
+    assert(wX_.cols() == wH_.cols());
+    assert(wX_.cols() == 4 * wH_.rows());
+    assert(static_cast<int64_t>(bias_.size()) == wX_.cols());
 }
 
 LSTMCell::State
@@ -72,11 +84,12 @@ LSTMCell::stepInto(const float *x, int64_t batch, float *h, float *c,
 {
     const int64_t hidden = hiddenSize();
 
-    // gates = W_x x + W_h h + b : [batch, 4*hidden]
-    tensor::denseForward(wX_.data(), bias_.data(), x, gates, batch,
-                         inputSize(), 4 * hidden);
-    tensor::denseForward(wH_.data(), nullptr, h, rec, batch, hidden,
-                         4 * hidden);
+    // gates = W_x x + b + W_h h : [batch, 4*hidden]
+    tensor::GemmEpilogue with_bias;
+    with_bias.bias = bias_.data();
+    tensor::gemmPrepacked(x, wX_, gates, batch, 4 * hidden, inputSize(),
+                          with_bias);
+    tensor::gemmPrepacked(h, wH_, rec, batch, 4 * hidden, hidden);
     for (int64_t i = 0; i < batch * 4 * hidden; ++i)
         gates[i] += rec[i];
 
@@ -97,16 +110,22 @@ LSTMCell::stepInto(const float *x, int64_t batch, float *h, float *c,
 }
 
 uint64_t
+LSTMCell::weightCount() const
+{
+    return static_cast<uint64_t>(wX_.rows() * wX_.cols() +
+                                 wH_.rows() * wH_.cols());
+}
+
+uint64_t
 LSTMCell::paramCount() const
 {
-    return static_cast<uint64_t>(wX_.numel() + wH_.numel()) +
-           bias_.size();
+    return weightCount() + bias_.size();
 }
 
 uint64_t
 LSTMCell::flopsPerStep() const
 {
-    return 2 * static_cast<uint64_t>(wX_.numel() + wH_.numel());
+    return 2 * weightCount();
 }
 
 Tensor

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "tensor/gemm.h"
 #include "tensor/tensor.h"
 
 namespace mlperf {
@@ -49,6 +50,9 @@ class Embedding
 /**
  * Single LSTM cell. Gate layout in the packed weight matrices is
  * [i; f; g; o] (input, forget, cell, output), each of size hidden.
+ * The weights are packed once at construction for gemmPrepacked(),
+ * so a step's result for one sequence is the same bits at any batch
+ * size. Move-only (the packed weights are).
  */
 class LSTMCell
 {
@@ -80,22 +84,27 @@ class LSTMCell
      * in place; @p gates and @p rec are scratch of [batch, 4*hidden]
      * floats each. step() delegates here, so stepping a sequence
      * through stepInto() is bit-identical to step() no matter how the
-     * calls interleave with other sequences' steps.
+     * calls interleave with other sequences' steps. Each row of the
+     * batch is bit-identical to stepping that row alone at batch 1:
+     * both gate projections run on gemmPrepacked(), which is batch-
+     * invariant, and the rest of the step is elementwise.
      */
     void stepInto(const float *x, int64_t batch, float *h, float *c,
                   float *gates, float *rec) const;
 
-    int64_t inputSize() const { return wX_.shape().dim(1); }
-    int64_t hiddenSize() const { return wH_.shape().dim(1); }
+    int64_t inputSize() const { return wX_.rows(); }
+    int64_t hiddenSize() const { return wH_.rows(); }
     uint64_t paramCount() const;
 
     /** MAC-dominated op count (x2) for one step at batch 1. */
     uint64_t flopsPerStep() const;
 
   private:
-    tensor::Tensor wX_;
-    tensor::Tensor wH_;
-    std::vector<float> bias_;
+    uint64_t weightCount() const;
+
+    tensor::PackedMatrix wX_;  //!< packed W_x^T: input -> 4*hidden
+    tensor::PackedMatrix wH_;  //!< packed W_h^T: hidden -> 4*hidden
+    std::vector<float> bias_;  //!< fused into the W_x projection
 };
 
 /**

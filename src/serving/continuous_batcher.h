@@ -29,9 +29,13 @@
  * Static mode is the honest baseline, not a strawman: finished slots
  * burn a full equal-FLOPs padStep per round (what a padded batch
  * actually costs) and admission reopens only once every slot has
- * drained. Both modes run the same per-slot batch-1 decode, so a
- * sequence's tokens are bit-identical regardless of batch composition
- * — the property that makes mid-batch join/leave safe at all.
+ * drained. Both modes step every slot through the same decode path,
+ * whose dense ops (LSTM gates, vocab projection) run on the
+ * batch-invariant prepacked GEMM: a row's result never depends on how
+ * many rows share the call or what they hold. So a sequence's tokens
+ * are bit-identical regardless of batch composition — the property
+ * that makes mid-batch join/leave safe at all, and that would keep a
+ * future gathered [slots x hidden] step bit-identical too.
  *
  * Fast-path contract: one pump() round acquires zero instrumented
  * serving locks (LockProbe); the delta is accumulated per round and

@@ -184,6 +184,106 @@ microKernelEdge(int64_t kc, const float *ap, const float *bp, float *c,
             c[r * ldc + j] += tmp[r * kNr + j];
 }
 
+/**
+ * C[0:MR, 0:panels*kNr] += A rows (read in place, row stride lda) *
+ * @p panels consecutive packed B micro-panels: the rows left below
+ * the last full kMr panel of a block. Each row runs the FMA chain of
+ * its row in microKernelAvx2 (same operands, same k order) and ends
+ * with the same c += acc, so a row's result does not depend on
+ * whether it was packed into a full panel or handled here — and the
+ * rows need no packA, which at m = 1 (a decode step's GEMV) costs
+ * more than the arithmetic. With few rows there are too few FMA
+ * chains to hide the FMA latency, so a tile interleaves the chains of
+ * several panels; that changes the schedule, not any chain.
+ */
+using RowTailFn = void (*)(int64_t kc, const float *a, int64_t lda,
+                           const float *bp, int64_t panels, float *c,
+                           int64_t ldc);
+
+#if MLPERF_GEMM_X86_DISPATCH
+/** C[0:MR, 0:NP*kNr] += A rows * NP packed B micro-panels. */
+template <int MR, int NP>
+__attribute__((target("avx2,fma"), always_inline)) inline void
+rowTailTile(int64_t kc, const float *__restrict a, int64_t lda,
+            const float *__restrict bp, float *__restrict c,
+            int64_t ldc)
+{
+    const int64_t panel = kc * kNr;
+    __m256 acc[NP][MR][2];
+    for (int p = 0; p < NP; ++p) {
+        for (int r = 0; r < MR; ++r) {
+            acc[p][r][0] = _mm256_setzero_ps();
+            acc[p][r][1] = _mm256_setzero_ps();
+        }
+    }
+    for (int64_t kk = 0; kk < kc; ++kk) {
+        for (int r = 0; r < MR; ++r) {
+            const __m256 av = _mm256_broadcast_ss(a + r * lda + kk);
+            for (int p = 0; p < NP; ++p) {
+                const float *b_row = bp + p * panel + kk * kNr;
+                acc[p][r][0] = _mm256_fmadd_ps(
+                    av, _mm256_loadu_ps(b_row), acc[p][r][0]);
+                acc[p][r][1] = _mm256_fmadd_ps(
+                    av, _mm256_loadu_ps(b_row + 8), acc[p][r][1]);
+            }
+        }
+    }
+    for (int p = 0; p < NP; ++p) {
+        for (int r = 0; r < MR; ++r) {
+            float *c_row = c + r * ldc + p * kNr;
+            _mm256_storeu_ps(c_row, _mm256_add_ps(_mm256_loadu_ps(c_row),
+                                                  acc[p][r][0]));
+            _mm256_storeu_ps(
+                c_row + 8,
+                _mm256_add_ps(_mm256_loadu_ps(c_row + 8), acc[p][r][1]));
+        }
+    }
+}
+
+template <int MR>
+__attribute__((target("avx2,fma"))) void
+rowTailAvx2(int64_t kc, const float *a, int64_t lda, const float *bp,
+            int64_t panels, float *c, int64_t ldc)
+{
+    // At least 8 independent chains where the registers allow it.
+    constexpr int kGroup = MR >= 4 ? 1 : 4 / MR;
+    int64_t p = 0;
+    for (; p + kGroup <= panels; p += kGroup)
+        rowTailTile<MR, kGroup>(kc, a, lda, bp + p * kc * kNr,
+                                c + p * kNr, ldc);
+    for (; p < panels; ++p)
+        rowTailTile<MR, 1>(kc, a, lda, bp + p * kc * kNr, c + p * kNr,
+                           ldc);
+}
+#endif
+
+/** Row-tail kernels indexed by row count 1..kMr-1. All null with the
+ *  portable micro-kernel: its tails go through packA and
+ *  microKernelEdge instead, the only way to match it bit for bit. */
+struct RowTailKernels
+{
+    RowTailFn fn[kMr] = {};
+};
+
+RowTailKernels
+resolveRowTailKernels()
+{
+    static_assert(kMr == 6, "one row-tail kernel per row count");
+    RowTailKernels k;
+#if MLPERF_GEMM_X86_DISPATCH
+    if (kMicroKernel == microKernelAvx2) {
+        k.fn[1] = rowTailAvx2<1>;
+        k.fn[2] = rowTailAvx2<2>;
+        k.fn[3] = rowTailAvx2<3>;
+        k.fn[4] = rowTailAvx2<4>;
+        k.fn[5] = rowTailAvx2<5>;
+    }
+#endif
+    return k;
+}
+
+const RowTailKernels kRowTail = resolveRowTailKernels();
+
 /** Simple accumulating kernel for shapes too small to repack. */
 void
 gemmSmall(const float *a, const float *b, float *c,
@@ -207,68 +307,6 @@ gemmSmall(const float *a, const float *b, float *c,
                 for (int64_t j = 0; j < n; ++j)
                     c_row[j] += a_ik * b_row[j];
             }
-        }
-    }
-}
-
-/**
- * Packed, cache-blocked, optionally parallel SGEMM core. C must
- * already hold the accumulation base (zeros unless accumulating).
- * When b_trans, B is stored [n x k] row-major (a dense layer's
- * weight) and packB absorbs the transpose.
- */
-void
-gemmPacked(const float *a, const float *b, float *c,
-           int64_t m, int64_t n, int64_t k, bool b_trans)
-{
-    const int64_t ldb = b_trans ? k : n;
-    const bool parallel = m * n * k >= kParallelMacs &&
-                          !ThreadPool::inWorker();
-    const MicroKernelFn kernel = kMicroKernel;
-
-    ScratchArena &arena = ScratchArena::thread();
-    for (int64_t jc = 0; jc < n; jc += kNc) {
-        const int64_t nc = std::min(kNc, n - jc);
-        for (int64_t pc = 0; pc < k; pc += kKc) {
-            const int64_t kc = std::min(kKc, k - pc);
-            ScratchFrame frame(arena);
-            float *bpack = arena.alloc<float>(roundUp(nc, kNr) * kc);
-            const float *b_block =
-                b_trans ? b + jc * ldb + pc : b + pc * ldb + jc;
-            packB(b_block, ldb, kc, nc, b_trans, bpack);
-
-            auto m_block = [&](int64_t block_begin, int64_t block_end) {
-                ScratchArena &worker_arena = ScratchArena::thread();
-                ScratchFrame worker_frame(worker_arena);
-                float *apack = worker_arena.alloc<float>(
-                    roundUp(std::min(kMc, m), kMr) * kc);
-                for (int64_t bi = block_begin; bi < block_end; ++bi) {
-                    const int64_t ic = bi * kMc;
-                    const int64_t mc = std::min(kMc, m - ic);
-                    packA(a + ic * k + pc, k, mc, kc, apack);
-                    for (int64_t jr = 0; jr < nc; jr += kNr) {
-                        const float *bp = bpack + jr * kc;
-                        const int64_t nr = std::min(kNr, nc - jr);
-                        for (int64_t ir = 0; ir < mc; ir += kMr) {
-                            const float *ap = apack + ir * kc;
-                            float *c_tile =
-                                c + (ic + ir) * n + jc + jr;
-                            const int64_t mr = std::min(kMr, mc - ir);
-                            if (mr == kMr && nr == kNr)
-                                kernel(kc, ap, bp, c_tile, n);
-                            else
-                                microKernelEdge(kc, ap, bp, c_tile,
-                                                n, mr, nr);
-                        }
-                    }
-                }
-            };
-
-            const int64_t m_blocks = (m + kMc - 1) / kMc;
-            if (parallel)
-                parallelFor(0, m_blocks, 1, m_block);
-            else
-                m_block(0, m_blocks);
         }
     }
 }
@@ -298,6 +336,114 @@ applyEpilogueTile(float *c, int64_t ldc, int64_t mr, int64_t nr,
         if (ep.relu) {
             for (int64_t j = 0; j < nr; ++j)
                 row[j] = row[j] < 0.0f ? 0.0f : row[j];
+        }
+    }
+}
+
+/**
+ * C block (mc x nc, row stride ldc) += A block (mc x kc, row stride
+ * lda) * one packed B block, then the epilogue (when given) on each
+ * finished tile. Full kMr-row panels are packed into @p apack
+ * (roundUp(mc, kMr) * kc floats) for the micro-kernel; the mc % kMr
+ * rows below them go to the row-tail kernel when there is one, so a
+ * block of fewer than kMr rows packs nothing. @p row0 / @p col0 place
+ * the block in C for per-row / per-column bias.
+ */
+void
+multiplyBlock(const float *a, int64_t lda, int64_t mc, int64_t kc,
+              const float *bpack, int64_t nc, float *c, int64_t ldc,
+              float *apack, const GemmEpilogue *epilogue, int64_t row0,
+              int64_t col0)
+{
+    const int64_t tail = mc % kMr;
+    const RowTailFn row_tail = kRowTail.fn[tail];
+    const int64_t packed_rows = row_tail != nullptr ? mc - tail : mc;
+    if (packed_rows > 0) {
+        packA(a, lda, packed_rows, kc, apack);
+        for (int64_t jr = 0; jr < nc; jr += kNr) {
+            const float *bp = bpack + jr * kc;
+            const int64_t nr = std::min(kNr, nc - jr);
+            for (int64_t ir = 0; ir < packed_rows; ir += kMr) {
+                float *c_tile = c + ir * ldc + jr;
+                const int64_t mr = std::min(kMr, packed_rows - ir);
+                if (mr == kMr && nr == kNr)
+                    kMicroKernel(kc, apack + ir * kc, bp, c_tile, ldc);
+                else
+                    microKernelEdge(kc, apack + ir * kc, bp, c_tile,
+                                    ldc, mr, nr);
+                if (epilogue != nullptr)
+                    applyEpilogueTile(c_tile, ldc, mr, nr, row0 + ir,
+                                      col0 + jr, *epilogue);
+            }
+        }
+    }
+    if (packed_rows == mc)
+        return;
+
+    const float *a_tail = a + packed_rows * lda;
+    float *c_tail = c + packed_rows * ldc;
+    const int64_t full_panels = nc / kNr;
+    row_tail(kc, a_tail, lda, bpack, full_panels, c_tail, ldc);
+    if (const int64_t nr = nc % kNr; nr != 0) {
+        // Same full-tile-then-corner add as microKernelEdge; B's
+        // zero-padded columns make the full-width read safe.
+        const int64_t jr = full_panels * kNr;
+        float tmp[kMr * kNr];
+        std::memset(tmp, 0, sizeof(tmp));
+        row_tail(kc, a_tail, lda, bpack + jr * kc, 1, tmp, kNr);
+        for (int64_t r = 0; r < tail; ++r)
+            for (int64_t j = 0; j < nr; ++j)
+                c_tail[r * ldc + jr + j] += tmp[r * kNr + j];
+    }
+    if (epilogue != nullptr)
+        applyEpilogueTile(c_tail, ldc, tail, nc, row0 + packed_rows, col0,
+                          *epilogue);
+}
+
+/**
+ * Packed, cache-blocked, optionally parallel SGEMM core. C must
+ * already hold the accumulation base (zeros unless accumulating).
+ * When b_trans, B is stored [n x k] row-major (a dense layer's
+ * weight) and packB absorbs the transpose.
+ */
+void
+gemmPacked(const float *a, const float *b, float *c,
+           int64_t m, int64_t n, int64_t k, bool b_trans)
+{
+    const int64_t ldb = b_trans ? k : n;
+    const bool parallel = m * n * k >= kParallelMacs &&
+                          !ThreadPool::inWorker();
+
+    ScratchArena &arena = ScratchArena::thread();
+    for (int64_t jc = 0; jc < n; jc += kNc) {
+        const int64_t nc = std::min(kNc, n - jc);
+        for (int64_t pc = 0; pc < k; pc += kKc) {
+            const int64_t kc = std::min(kKc, k - pc);
+            ScratchFrame frame(arena);
+            float *bpack = arena.alloc<float>(roundUp(nc, kNr) * kc);
+            const float *b_block =
+                b_trans ? b + jc * ldb + pc : b + pc * ldb + jc;
+            packB(b_block, ldb, kc, nc, b_trans, bpack);
+
+            auto m_block = [&](int64_t block_begin, int64_t block_end) {
+                ScratchArena &worker_arena = ScratchArena::thread();
+                ScratchFrame worker_frame(worker_arena);
+                float *apack = worker_arena.alloc<float>(
+                    roundUp(std::min(kMc, m), kMr) * kc);
+                for (int64_t bi = block_begin; bi < block_end; ++bi) {
+                    const int64_t ic = bi * kMc;
+                    multiplyBlock(a + ic * k + pc, k,
+                                  std::min(kMc, m - ic), kc, bpack, nc,
+                                  c + ic * n + jc, n, apack, nullptr,
+                                  ic, jc);
+                }
+            };
+
+            const int64_t m_blocks = (m + kMc - 1) / kMc;
+            if (parallel)
+                parallelFor(0, m_blocks, 1, m_block);
+            else
+                m_block(0, m_blocks);
         }
     }
 }
@@ -474,7 +620,6 @@ gemmPrepacked(const float *a, const PackedMatrix &b, float *c,
     std::memset(c, 0, static_cast<size_t>(m * n) * sizeof(float));
     const bool parallel =
         m * n * k >= kParallelMacs && !ThreadPool::inWorker();
-    const MicroKernelFn kernel = kMicroKernel;
     const float *bdata = b.data_.get();
 
     size_t block = 0;
@@ -484,6 +629,8 @@ gemmPrepacked(const float *a, const PackedMatrix &b, float *c,
             const int64_t kc = std::min(kKc, k - pc);
             const float *bpack = bdata + b.blockOffsets_[block++];
             const bool last_k = pc + kc == k;
+            const GemmEpilogue *tile_epilogue =
+                last_k && !epilogue.empty() ? &epilogue : nullptr;
 
             auto m_block = [&](int64_t block_begin, int64_t block_end) {
                 ScratchArena &worker_arena = ScratchArena::thread();
@@ -492,27 +639,10 @@ gemmPrepacked(const float *a, const PackedMatrix &b, float *c,
                     roundUp(std::min(kMc, m), kMr) * kc);
                 for (int64_t bi = block_begin; bi < block_end; ++bi) {
                     const int64_t ic = bi * kMc;
-                    const int64_t mc = std::min(kMc, m - ic);
-                    packA(a + ic * k + pc, k, mc, kc, apack);
-                    for (int64_t jr = 0; jr < nc; jr += kNr) {
-                        const float *bp = bpack + jr * kc;
-                        const int64_t nr = std::min(kNr, nc - jr);
-                        for (int64_t ir = 0; ir < mc; ir += kMr) {
-                            const float *ap = apack + ir * kc;
-                            float *c_tile =
-                                c + (ic + ir) * n + jc + jr;
-                            const int64_t mr = std::min(kMr, mc - ir);
-                            if (mr == kMr && nr == kNr)
-                                kernel(kc, ap, bp, c_tile, n);
-                            else
-                                microKernelEdge(kc, ap, bp, c_tile,
-                                                n, mr, nr);
-                            if (last_k && !epilogue.empty())
-                                applyEpilogueTile(c_tile, n, mr, nr,
-                                                  ic + ir, jc + jr,
-                                                  epilogue);
-                        }
-                    }
+                    multiplyBlock(a + ic * k + pc, k,
+                                  std::min(kMc, m - ic), kc, bpack, nc,
+                                  c + ic * n + jc, n, apack,
+                                  tile_epilogue, ic, jc);
                 }
             };
 

@@ -6,10 +6,11 @@
  * im2col), mirroring how production inference stacks structure their
  * compute. The optimized path is a packed, cache-blocked SGEMM: A and
  * B are repacked into aligned, k-major micro-panels held in the
- * thread-local scratch arena, a register-tiled 6x8 micro-kernel does
- * the arithmetic, and large problems are parallelized over M panels
- * on the shared intra-op thread pool (see DESIGN.md, "Compute
- * substrate").
+ * thread-local scratch arena, a register-tiled 6x16 micro-kernel does
+ * the arithmetic (rows below the last full 6-row panel are read in
+ * place by a row-tail kernel with the same per-row FMA chain), and
+ * large problems are parallelized over M panels on the shared
+ * intra-op thread pool (see DESIGN.md, "Compute substrate").
  */
 
 #ifndef MLPERF_TENSOR_GEMM_H
@@ -61,7 +62,18 @@ PackedMatrix packMatrixB(const float *b, int64_t k, int64_t n,
 /**
  * C = A * packedB, with an optional fused epilogue. Skips the per-call
  * packB of gemm() entirely: only the activation operand A is packed
- * (per-call, into the scratch arena). C is overwritten.
+ * (per-call, into the scratch arena; rows below the last full 6-row
+ * panel are read in place). C is overwritten.
+ *
+ * Batch invariance: row i of C depends only on row i of A, bit for
+ * bit, whatever @p m is and whatever the other rows hold. There is no
+ * small-shape branch, and every output element is reduced in one
+ * fixed order — k ascending within each 256-deep k block, one
+ * c += partial per block, then the epilogue — whether its row falls
+ * in a full register panel, a row tail, or another thread's M block.
+ * A sequence stepped alone (m = 1) therefore matches the same
+ * sequence stepped beside any neighbours; the decode path relies on
+ * this so that its numerics never depend on the batch.
  */
 void gemmPrepacked(const float *a, const PackedMatrix &b, float *c,
                    int64_t m, int64_t n, int64_t k,

@@ -221,6 +221,48 @@ TEST(LSTMCell, InterleavedSequencesMatchIsolatedRuns)
     }
 }
 
+TEST(LSTMCell, BatchedStepMatchesIndependentBatchOneSteps)
+{
+    // Batch invariance: each row of a batch-n step is bit-identical to
+    // stepping that row alone at batch 1, for every n up to 32. At
+    // hidden 32 the gate GEMMs cross the old small-shape threshold
+    // (n = 27), so a shape-dispatched kernel would fail here.
+    const int64_t input = 32, hidden = 32, steps = 3;
+    const LSTMCell cell = makeCell(input, hidden, 0xBA7C);
+    std::vector<float> gates, rec;
+    for (int64_t n = 1; n <= 32; ++n) {
+        Rng rng(0x5EED + static_cast<uint64_t>(n));
+        auto random = [&](int64_t count) {
+            std::vector<float> v(static_cast<size_t>(count));
+            for (float &x : v)
+                x = static_cast<float>(rng.nextGaussian());
+            return v;
+        };
+        std::vector<float> h = random(n * hidden);
+        std::vector<float> c = random(n * hidden);
+        std::vector<float> h_one = h, c_one = c;
+        gates.resize(static_cast<size_t>(n * 4 * hidden));
+        rec.resize(gates.size());
+        for (int64_t t = 0; t < steps; ++t) {
+            const std::vector<float> x = random(n * input);
+            cell.stepInto(x.data(), n, h.data(), c.data(), gates.data(),
+                          rec.data());
+            for (int64_t row = 0; row < n; ++row) {
+                cell.stepInto(x.data() + row * input, 1,
+                              h_one.data() + row * hidden,
+                              c_one.data() + row * hidden, gates.data(),
+                              rec.data());
+            }
+            for (size_t i = 0; i < h.size(); ++i) {
+                ASSERT_EQ(h[i], h_one[i])
+                    << "n=" << n << " step " << t << " h[" << i << "]";
+                ASSERT_EQ(c[i], c_one[i])
+                    << "n=" << n << " step " << t << " c[" << i << "]";
+            }
+        }
+    }
+}
+
 TEST(DotAttention, IntoFormMatchesAllocatingFormOverRandomInputs)
 {
     Rng rng(0xAB5E);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <tuple>
 #include <vector>
 
@@ -268,27 +269,81 @@ TEST(GemmPrepacked, BitIdenticalToGemmOnPackedPathShapes)
     // Above the small-shape threshold the prepacked kernels run the
     // exact loop nest of gemm()'s packed path, so results must match
     // bit for bit — the property the compiled/eager differential
-    // tests lean on.
-    const int64_t m = 67, n = 70, k = 49;
-    ASSERT_FALSE(gemmUsesSmallPath(m, n, k));
-    Rng rng(0xC0FFEE);
-    std::vector<float> a = randomVec(m * k, rng);
-    std::vector<float> b = randomVec(k * n, rng);
-    std::vector<float> ref(static_cast<size_t>(m * n));
-    gemm(a.data(), b.data(), ref.data(), m, n, k);
+    // tests lean on. The m < 6 shapes are all row tail: gemm() and
+    // gemmPrepacked() read those rows in place, gemmPrepackedA()
+    // packs them and runs the edge kernel, and all three must agree.
+    const std::tuple<int64_t, int64_t, int64_t> shapes[] = {
+        {67, 70, 49}, {1, 513, 257}, {2, 600, 100},
+        {3, 130, 300}, {4, 47, 600}, {5, 70, 320}};
+    for (const auto &[m, n, k] : shapes) {
+        SCOPED_TRACE(::testing::Message()
+                     << "m=" << m << " n=" << n << " k=" << k);
+        ASSERT_FALSE(gemmUsesSmallPath(m, n, k));
+        Rng rng(0xC0FFEE + static_cast<uint64_t>(m));
+        std::vector<float> a = randomVec(m * k, rng);
+        std::vector<float> b = randomVec(k * n, rng);
+        std::vector<float> ref(static_cast<size_t>(m * n));
+        gemm(a.data(), b.data(), ref.data(), m, n, k);
 
-    const PackedMatrix pb = packMatrixB(b.data(), k, n, false);
-    std::vector<float> c(static_cast<size_t>(m * n));
-    gemmPrepacked(a.data(), pb, c.data(), m, n, k);
-    for (int64_t i = 0; i < m * n; ++i)
-        ASSERT_EQ(c[static_cast<size_t>(i)], ref[static_cast<size_t>(i)])
-            << "i=" << i;
+        const PackedMatrix pb = packMatrixB(b.data(), k, n, false);
+        std::vector<float> c(static_cast<size_t>(m * n));
+        gemmPrepacked(a.data(), pb, c.data(), m, n, k);
+        for (int64_t i = 0; i < m * n; ++i)
+            ASSERT_EQ(c[static_cast<size_t>(i)],
+                      ref[static_cast<size_t>(i)])
+                << "i=" << i;
 
-    const PackedMatrix pa = packMatrixA(a.data(), m, k);
-    gemmPrepackedA(pa, b.data(), c.data(), m, n, k);
-    for (int64_t i = 0; i < m * n; ++i)
-        ASSERT_EQ(c[static_cast<size_t>(i)], ref[static_cast<size_t>(i)])
-            << "i=" << i;
+        const PackedMatrix pa = packMatrixA(a.data(), m, k);
+        gemmPrepackedA(pa, b.data(), c.data(), m, n, k);
+        for (int64_t i = 0; i < m * n; ++i)
+            ASSERT_EQ(c[static_cast<size_t>(i)],
+                      ref[static_cast<size_t>(i)])
+                << "i=" << i;
+    }
+}
+
+TEST(GemmPrepacked, RowsMatchBatchOneBitForBit)
+{
+    // Batch invariance: every row of C at m rows equals, bit for bit,
+    // the same row computed alone at m = 1 — whether the row lands in
+    // a full register panel or a row tail, across partial column
+    // panels (n % 16 != 0), several column blocks (n > 512) and
+    // several k blocks (k > 256), with and without the epilogue.
+    Rng shape_rng(0xBA7C4);
+    const int64_t ns[] = {1, 15, 16, 33, 130, 513, 700};
+    const int64_t ks[] = {1, 7, 32, 255, 257, 300};
+    for (int trial = 0; trial < 26; ++trial) {
+        const int64_t m = 1 + trial / 2;  // two random shapes per m
+        const int64_t n = ns[shape_rng.nextBelow(std::size(ns))];
+        const int64_t k = ks[shape_rng.nextBelow(std::size(ks))];
+        const bool with_epilogue = trial % 2 == 0;
+        SCOPED_TRACE(::testing::Message()
+                     << "m=" << m << " n=" << n << " k=" << k
+                     << " epilogue=" << with_epilogue);
+        Rng rng(static_cast<uint64_t>(trial) * 104729 + 1);
+        std::vector<float> wt = randomVec(n * k, rng);
+        std::vector<float> a = randomVec(m * k, rng);
+        std::vector<float> bias = randomVec(n, rng);
+        const PackedMatrix packed =
+            packMatrixB(wt.data(), k, n, /*b_trans=*/true);
+        GemmEpilogue ep;
+        if (with_epilogue) {
+            ep.bias = bias.data();
+            ep.relu = true;
+        }
+
+        std::vector<float> c(static_cast<size_t>(m * n));
+        gemmPrepacked(a.data(), packed, c.data(), m, n, k, ep);
+        std::vector<float> row(static_cast<size_t>(n));
+        for (int64_t i = 0; i < m; ++i) {
+            gemmPrepacked(a.data() + i * k, packed, row.data(), 1, n, k,
+                          ep);
+            for (int64_t j = 0; j < n; ++j)
+                ASSERT_EQ(c[static_cast<size_t>(i * n + j)],
+                          row[static_cast<size_t>(j)])
+                    << "row " << i << " col " << j;
+        }
+    }
 }
 
 TEST(GemmPrepacked, ThreadCountDoesNotChangeResults)
