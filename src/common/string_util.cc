@@ -95,4 +95,21 @@ formatDuration(uint64_t ns)
     return strprintf("%.2f s", ns / 1e9);
 }
 
+bool
+parseUint64(const std::string &text, uint64_t &value)
+{
+    if (text.empty())
+        return false;
+    value = 0;
+    for (const char c : text) {
+        if (c < '0' || c > '9')
+            return false;
+        const uint64_t digit = static_cast<uint64_t>(c - '0');
+        if (value > (UINT64_MAX - digit) / 10)
+            return false;
+        value = value * 10 + digit;
+    }
+    return true;
+}
+
 } // namespace mlperf

@@ -6,6 +6,7 @@
 #ifndef MLPERF_COMMON_STRING_UTIL_H
 #define MLPERF_COMMON_STRING_UTIL_H
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,14 @@ std::string withThousands(uint64_t value);
 
 /** Format nanoseconds in the most readable unit (ns/us/ms/s). */
 std::string formatDuration(uint64_t ns);
+
+/**
+ * Parse @p text as a decimal integer in [0, 2^64): digits only, no
+ * sign, space, exponent or hex prefix. Returns false (and leaves
+ * @p value unspecified) for anything else, including overflow; unlike
+ * std::stoull it never half-consumes "12x" or wraps "-5".
+ */
+bool parseUint64(const std::string &text, uint64_t &value);
 
 } // namespace mlperf
 

@@ -177,6 +177,10 @@ class Run : public ResponseDelegate
     void
     prepareSamples()
     {
+        const uint64_t queries = targetQueryCount();
+        queries_.reserve(queries);
+        responseQuery_.reserve(queries * samplesPerQuery());
+        responseIndex_.reserve(queries * samplesPerQuery());
         if (settings_.mode == TestMode::AccuracyOnly) {
             sampleIndices_ =
                 accuracySweepIndices(qsl_.totalSampleCount());
@@ -195,9 +199,12 @@ class Run : public ResponseDelegate
             settings_.sampleIndexSeed, settings_.sampleIndexMode);
     }
 
-    /** Draw the next @p count sample indices (extending if needed). */
-    std::vector<QuerySampleIndex>
-    nextSampleIndices(uint64_t count)
+    /**
+     * Claim the next @p count sample indices (extending the stream if
+     * needed); returns the position of the first in sampleIndices_.
+     */
+    uint64_t
+    claimSampleIndices(uint64_t count)
     {
         while (nextSample_ + count > sampleIndices_.size()) {
             // Performance-mode runs can outlive the pregenerated
@@ -212,13 +219,9 @@ class Run : public ResponseDelegate
             sampleIndices_.insert(sampleIndices_.end(), more.begin(),
                                   more.end());
         }
-        std::vector<QuerySampleIndex> out(
-            sampleIndices_.begin() +
-                static_cast<int64_t>(nextSample_),
-            sampleIndices_.begin() +
-                static_cast<int64_t>(nextSample_ + count));
+        const uint64_t first = nextSample_;
         nextSample_ += count;
-        return out;
+        return first;
     }
 
     // ------------------------------------------------- query issue
@@ -244,10 +247,10 @@ class Run : public ResponseDelegate
             std::lock_guard<std::mutex> lock(mutex_);
             QueryState &query = queries_[q];
             query.issued = executor_.now();
-            const auto indices =
-                nextSampleIndices(query.sampleCount);
-            samples.reserve(indices.size());
-            for (QuerySampleIndex index : indices) {
+            const uint64_t first = claimSampleIndices(query.sampleCount);
+            samples.reserve(query.sampleCount);
+            for (uint64_t i = first; i < first + query.sampleCount; ++i) {
+                const QuerySampleIndex index = sampleIndices_[i];
                 const ResponseId id = responseQuery_.size();
                 responseQuery_.push_back(q);
                 responseIndex_.push_back(index);
@@ -608,9 +611,13 @@ class Run : public ResponseDelegate
                           static_cast<double>(result.durationNs)
                     : 0.0;
         }
+        // Only served (Ok or Degraded) samples count as throughput: a
+        // shed, timed-out or failed sample comes back fast precisely
+        // because it was never processed.
         result.completedQps =
             result.durationNs > 0
-                ? static_cast<double>(completedSamples_) *
+                ? static_cast<double>(completedSamples_ -
+                                      result.errorSamples()) *
                       static_cast<double>(sim::kNsPerSec) /
                       static_cast<double>(result.durationNs)
                 : 0.0;

@@ -65,6 +65,10 @@ TestResult::summary() const
         out += "  * Min queries requirement NOT met\n";
     if (!latencyBoundMet)
         out += "  * Latency constraint NOT met\n";
+    if (scenario == Scenario::Offline && errorSamples() > 0) {
+        out += strprintf("  * %s samples completed with an error status\n",
+                         withThousands(errorSamples()).c_str());
+    }
     out += "\n";
     out += "================================================\n";
     out += "Additional Stats\n";
@@ -235,10 +239,15 @@ determineValidity(TestResult &result, const TestSettings &settings)
     }
 
     // Every issued query must have completed: a SUT that drops
-    // responses cannot produce a valid result.
+    // responses cannot produce a valid result. Offline has no latency
+    // bound to charge error responses against, so any shed, timed-out
+    // or failed sample voids the run instead: its throughput would
+    // otherwise count samples that were never processed.
     result.valid = result.minQueriesMet && result.minDurationMet &&
                    result.latencyBoundMet &&
-                   result.droppedQueries == 0;
+                   result.droppedQueries == 0 &&
+                   !(settings.scenario == Scenario::Offline &&
+                     result.errorSamples() > 0);
 }
 
 } // namespace loadgen

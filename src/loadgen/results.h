@@ -71,7 +71,7 @@ struct TestResult
     uint64_t meanIssueDriftNs = 0;
 
     // ---- Scenario metrics.
-    double completedQps = 0.0;      //!< samples per second completed
+    double completedQps = 0.0;      //!< Ok + Degraded samples per second
     double scheduledQps = 0.0;      //!< server: the Poisson parameter
     uint64_t samplesPerQuery = 1;   //!< multistream N
 

@@ -1,9 +1,12 @@
 #include "loadgen/test_settings.h"
 
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/string_util.h"
 #include "stats/sample_size.h"
 
 namespace mlperf {
@@ -122,6 +125,84 @@ parseArrivalPattern(const std::string &value)
     throw std::invalid_argument("unknown arrival_pattern: " + value);
 }
 
+constexpr double kNsPerMsD = static_cast<double>(sim::kNsPerMs);
+constexpr double kNsPerSecD = static_cast<double>(sim::kNsPerSec);
+
+/** The range a numeric config value must fall in. */
+enum class Bound
+{
+    NonNegative,  //!< [0, inf)
+    Positive,     //!< (0, inf)
+    Fraction,     //!< [0, 1]
+    Percentile,   //!< (0, 1]
+};
+
+/**
+ * A finite decimal number that fills the whole value and lies within
+ * @p bound. std::stod would accept "12x", throw std::out_of_range on
+ * "1e999" and pass "nan" or "-inf" through.
+ */
+double
+parseReal(const std::string &key, const std::string &value, Bound bound)
+{
+    const char *begin = value.c_str();
+    char *end = nullptr;
+    const double out = std::strtod(begin, &end);
+    if (value.empty() || end != begin + value.size() ||
+        !std::isfinite(out)) {
+        throw std::invalid_argument(key + ": not a finite number: " +
+                                    value);
+    }
+    bool ok = out >= 0.0;
+    switch (bound) {
+      case Bound::NonNegative: break;
+      case Bound::Positive:    ok = out > 0.0; break;
+      case Bound::Fraction:    ok = ok && out <= 1.0; break;
+      case Bound::Percentile:  ok = out > 0.0 && out <= 1.0; break;
+    }
+    if (!ok) {
+        static const char *const kRange[] = {">= 0", "> 0", "in [0, 1]",
+                                             "in (0, 1]"};
+        throw std::invalid_argument(
+            key + " must be " + kRange[static_cast<int>(bound)] + ": " +
+            value);
+    }
+    return out;
+}
+
+/** A duration in units of @p ns_per_unit, as whole nanoseconds. */
+sim::Tick
+parseTicks(const std::string &key, const std::string &value,
+           double ns_per_unit, Bound bound)
+{
+    const double ns = parseReal(key, value, bound) * ns_per_unit;
+    // 2^64 itself does not fit; the cast below would be undefined.
+    if (ns >= 18446744073709551616.0)
+        throw std::invalid_argument(key + ": out of range: " + value);
+    const auto out = static_cast<sim::Tick>(ns);
+    if (bound == Bound::Positive && out == 0) {
+        throw std::invalid_argument(key + ": rounds to 0 ns: " + value);
+    }
+    return out;
+}
+
+/** A decimal integer of at least @p min that fills the whole value. */
+uint64_t
+parseCount(const std::string &key, const std::string &value,
+           uint64_t min)
+{
+    uint64_t out = 0;
+    if (!parseUint64(value, out)) {
+        throw std::invalid_argument(
+            key + ": not an integer in [0, 2^64): " + value);
+    }
+    if (out < min) {
+        throw std::invalid_argument(key + " must be >= " +
+                                    std::to_string(min) + ": " + value);
+    }
+    return out;
+}
+
 } // namespace
 
 void
@@ -129,109 +210,144 @@ TestSettings::applyConfig(const std::string &config)
 {
     std::istringstream stream(config);
     std::string line;
+    uint64_t line_no = 0;
     while (std::getline(stream, line)) {
+        ++line_no;
         const auto hash = line.find('#');
         if (hash != std::string::npos)
             line = line.substr(0, hash);
         line = trim(line);
         if (line.empty())
             continue;
-        const auto eq = line.find('=');
-        if (eq == std::string::npos)
-            throw std::invalid_argument("malformed config line: " + line);
-        const std::string key = trim(line.substr(0, eq));
-        const std::string value = trim(line.substr(eq + 1));
-
-        if (key == "scenario") {
-            scenario = parseScenario(value);
-        } else if (key == "mode") {
-            if (value == "PerformanceOnly")
-                mode = TestMode::PerformanceOnly;
-            else if (value == "AccuracyOnly")
-                mode = TestMode::AccuracyOnly;
-            else
-                throw std::invalid_argument("unknown mode: " + value);
-        } else if (key == "server_target_qps") {
-            serverTargetQps = std::stod(value);
-        } else if (key == "server_burst_factor") {
-            serverBurstFactor = std::stod(value);
-        } else if (key == "arrival_pattern") {
-            serverTrace.pattern = parseArrivalPattern(value);
-        } else if (key == "diurnal_amplitude") {
-            serverTrace.diurnalAmplitude = std::stod(value);
-        } else if (key == "diurnal_period_s") {
-            serverTrace.diurnalPeriodNs = static_cast<sim::Tick>(
-                std::stod(value) * static_cast<double>(sim::kNsPerSec));
-        } else if (key == "session_mean_size") {
-            serverTrace.sessionMeanSize = std::stod(value);
-        } else if (key == "session_pareto_alpha") {
-            serverTrace.sessionParetoAlpha = std::stod(value);
-        } else if (key == "session_gap_ms") {
-            serverTrace.sessionGapNs = static_cast<sim::Tick>(
-                std::stod(value) * static_cast<double>(sim::kNsPerMs));
-        } else if (key == "session_gap_sigma") {
-            serverTrace.sessionGapSigma = std::stod(value);
-        } else if (key == "trace_file") {
-            std::ifstream file(value);
-            if (!file) {
-                throw std::invalid_argument(
-                    "trace_file not readable: " + value);
-            }
-            std::ostringstream contents;
-            contents << file.rdbuf();
-            serverTrace.recorded = parseRecordedTrace(contents.str());
-            serverTrace.pattern = ArrivalPattern::Recorded;
-        } else if (key == "samples_per_query") {
-            multiStreamSamplesPerQuery = std::stoull(value);
-        } else if (key == "multistream_arrival_ms") {
-            multiStreamArrivalNs = static_cast<uint64_t>(
-                std::stod(value) * static_cast<double>(sim::kNsPerMs));
-        } else if (key == "target_latency_ms") {
-            targetLatencyNs = static_cast<uint64_t>(
-                std::stod(value) * static_cast<double>(sim::kNsPerMs));
-        } else if (key == "ttft_target_ms") {
-            ttftTargetNs = static_cast<uint64_t>(
-                std::stod(value) * static_cast<double>(sim::kNsPerMs));
-        } else if (key == "tpot_target_ms") {
-            tpotTargetNs = static_cast<uint64_t>(
-                std::stod(value) * static_cast<double>(sim::kNsPerMs));
-        } else if (key == "server_query_deadline_ms") {
-            serverQueryDeadlineNs = static_cast<uint64_t>(
-                std::stod(value) * static_cast<double>(sim::kNsPerMs));
-        } else if (key == "tail_percentile") {
-            tailPercentile = std::stod(value);
-        } else if (key == "max_over_latency_fraction") {
-            maxOverLatencyFraction = std::stod(value);
-        } else if (key == "min_query_count") {
-            minQueryCount = std::stoull(value);
-        } else if (key == "min_duration_ms") {
-            minDurationNs = static_cast<uint64_t>(
-                std::stod(value) * static_cast<double>(sim::kNsPerMs));
-        } else if (key == "offline_sample_count") {
-            offlineSampleCount = std::stoull(value);
-        } else if (key == "max_query_count") {
-            maxQueryCount = std::stoull(value);
-        } else if (key == "sample_index_seed") {
-            sampleIndexSeed = std::stoull(value);
-        } else if (key == "schedule_seed") {
-            scheduleSeed = std::stoull(value);
-        } else if (key == "sample_index_mode") {
-            if (value == "random")
-                sampleIndexMode = SampleIndexMode::RandomWithReplacement;
-            else if (value == "unique")
-                sampleIndexMode = SampleIndexMode::UniqueSweep;
-            else if (value == "same")
-                sampleIndexMode = SampleIndexMode::SameIndex;
-            else
-                throw std::invalid_argument(
-                    "unknown sample_index_mode: " + value);
-        } else if (key == "accuracy_log_fraction") {
-            accuracyLogFraction = std::stod(value);
-        } else if (key == "record_timeline") {
-            recordTimeline = (value == "1" || value == "true");
-        } else {
-            throw std::invalid_argument("unknown config key: " + key);
+        try {
+            applyConfigLine(line);
+        } catch (const std::invalid_argument &e) {
+            throw std::invalid_argument("config line " +
+                                        std::to_string(line_no) + ": " +
+                                        e.what());
         }
+    }
+}
+
+void
+TestSettings::applyConfigLine(const std::string &line)
+{
+    const auto eq = line.find('=');
+    if (eq == std::string::npos)
+        throw std::invalid_argument("malformed config line: " + line);
+    const std::string key = trim(line.substr(0, eq));
+    const std::string value = trim(line.substr(eq + 1));
+    const auto real = [&](Bound bound) {
+        return parseReal(key, value, bound);
+    };
+    const auto ticks = [&](double ns_per_unit, Bound bound) {
+        return parseTicks(key, value, ns_per_unit, bound);
+    };
+    const auto count = [&](uint64_t min) {
+        return parseCount(key, value, min);
+    };
+
+    if (key == "scenario") {
+        scenario = parseScenario(value);
+    } else if (key == "mode") {
+        if (value == "PerformanceOnly")
+            mode = TestMode::PerformanceOnly;
+        else if (value == "AccuracyOnly")
+            mode = TestMode::AccuracyOnly;
+        else
+            throw std::invalid_argument("unknown mode: " + value);
+    } else if (key == "server_target_qps") {
+        serverTargetQps = real(Bound::Positive);
+    } else if (key == "server_burst_factor") {
+        serverBurstFactor = real(Bound::NonNegative);
+    } else if (key == "arrival_pattern") {
+        serverTrace.pattern = parseArrivalPattern(value);
+    } else if (key == "diurnal_amplitude") {
+        serverTrace.diurnalAmplitude = real(Bound::NonNegative);
+    } else if (key == "diurnal_period_s") {
+        serverTrace.diurnalPeriodNs = ticks(kNsPerSecD, Bound::Positive);
+    } else if (key == "session_mean_size") {
+        serverTrace.sessionMeanSize = real(Bound::NonNegative);
+    } else if (key == "session_pareto_alpha") {
+        serverTrace.sessionParetoAlpha = real(Bound::NonNegative);
+    } else if (key == "session_gap_ms") {
+        serverTrace.sessionGapNs = ticks(kNsPerMsD, Bound::NonNegative);
+    } else if (key == "session_gap_sigma") {
+        serverTrace.sessionGapSigma = real(Bound::NonNegative);
+    } else if (key == "trace_file") {
+        // A NUL would silently truncate the path the OS opens.
+        std::ifstream file;
+        if (value.find('\0') == std::string::npos)
+            file.open(value);
+        if (!file) {
+            throw std::invalid_argument(
+                "trace_file not readable: " + value);
+        }
+        std::ostringstream contents;
+        contents << file.rdbuf();
+        std::vector<sim::Tick> recorded;
+        try {
+            recorded = parseRecordedTrace(contents.str());
+        } catch (const std::invalid_argument &e) {
+            throw std::invalid_argument("trace_file " + value + ": " +
+                                        e.what());
+        }
+        if (recorded.empty()) {
+            throw std::invalid_argument("trace_file has no arrivals: " +
+                                        value);
+        }
+        serverTrace.recorded = std::move(recorded);
+        serverTrace.pattern = ArrivalPattern::Recorded;
+    } else if (key == "samples_per_query") {
+        multiStreamSamplesPerQuery = count(1);
+    } else if (key == "multistream_arrival_ms") {
+        multiStreamArrivalNs = ticks(kNsPerMsD, Bound::Positive);
+    } else if (key == "target_latency_ms") {
+        targetLatencyNs = ticks(kNsPerMsD, Bound::NonNegative);
+    } else if (key == "ttft_target_ms") {
+        ttftTargetNs = ticks(kNsPerMsD, Bound::NonNegative);
+    } else if (key == "tpot_target_ms") {
+        tpotTargetNs = ticks(kNsPerMsD, Bound::NonNegative);
+    } else if (key == "server_query_deadline_ms") {
+        serverQueryDeadlineNs = ticks(kNsPerMsD, Bound::NonNegative);
+    } else if (key == "tail_percentile") {
+        tailPercentile = real(Bound::Percentile);
+    } else if (key == "max_over_latency_fraction") {
+        maxOverLatencyFraction = real(Bound::Fraction);
+    } else if (key == "min_query_count") {
+        minQueryCount = count(0);
+    } else if (key == "min_duration_ms") {
+        minDurationNs = ticks(kNsPerMsD, Bound::NonNegative);
+    } else if (key == "offline_sample_count") {
+        offlineSampleCount = count(1);
+    } else if (key == "max_query_count") {
+        maxQueryCount = count(0);
+    } else if (key == "sample_index_seed") {
+        sampleIndexSeed = count(0);
+    } else if (key == "schedule_seed") {
+        scheduleSeed = count(0);
+    } else if (key == "sample_index_mode") {
+        if (value == "random")
+            sampleIndexMode = SampleIndexMode::RandomWithReplacement;
+        else if (value == "unique")
+            sampleIndexMode = SampleIndexMode::UniqueSweep;
+        else if (value == "same")
+            sampleIndexMode = SampleIndexMode::SameIndex;
+        else
+            throw std::invalid_argument(
+                "unknown sample_index_mode: " + value);
+    } else if (key == "accuracy_log_fraction") {
+        accuracyLogFraction = real(Bound::Fraction);
+    } else if (key == "record_timeline") {
+        if (value == "1" || value == "true")
+            recordTimeline = true;
+        else if (value == "0" || value == "false")
+            recordTimeline = false;
+        else
+            throw std::invalid_argument("record_timeline: want 0, 1, "
+                                        "true or false: " + value);
+    } else {
+        throw std::invalid_argument("unknown config key: " + key);
     }
 }
 

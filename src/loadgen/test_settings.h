@@ -119,8 +119,12 @@ struct TestSettings
 
     /**
      * Parse user.conf-style overrides: one "key = value" per line,
-     * '#' comments. Unknown keys throw std::invalid_argument. Known
-     * keys: scenario, mode, server_target_qps, samples_per_query,
+     * '#' comments. Strict: an unknown key, a value that is not
+     * wholly a number of the key's type and range (no trailing junk,
+     * signs on counts, overflow, NaN or infinity) or an unreadable or
+     * malformed trace_file throws std::invalid_argument naming the
+     * config line; the lines before it stay applied. Known keys:
+     * scenario, mode, server_target_qps, samples_per_query,
      * multistream_arrival_ms, target_latency_ms, ttft_target_ms,
      * tpot_target_ms,
      * server_query_deadline_ms, tail_percentile,
@@ -139,6 +143,10 @@ struct TestSettings
 
     /** Scenario defaults per Sec. III-D / Table IV. */
     static TestSettings forScenario(Scenario scenario);
+
+  private:
+    /** One comment-stripped, trimmed, non-empty config line. */
+    void applyConfigLine(const std::string &line);
 };
 
 } // namespace loadgen

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "loadgen/schedule.h"
 #include "loadgen/test_settings.h"
 
@@ -163,29 +164,19 @@ parseRecordedTrace(const std::string &text)
             continue;
         const auto last = line.find_last_not_of(" \t\r");
         const std::string token = line.substr(first, last - first + 1);
-        // Hand-rolled digit parse instead of std::stoull: a capture
-        // with "12x34", "-5", "1e9" or an offset past 2^64 must fail
-        // with a line-numbered message, not be half-consumed or wrap.
+        // Strict digit parse instead of std::stoull: a capture with
+        // "12x34", "-5", "1e9" or an offset past 2^64 must fail with a
+        // line-numbered message, not be half-consumed or wrap.
         uint64_t value = 0;
-        bool ok = !token.empty();
-        for (const char c : token) {
-            if (c < '0' || c > '9') {
-                ok = false;
-                break;
-            }
-            const uint64_t digit = static_cast<uint64_t>(c - '0');
-            if (value > (UINT64_MAX - digit) / 10) {
-                throw std::invalid_argument(
-                    "trace line " + std::to_string(line_no) +
-                    ": offset out of range: " + token);
-            }
-            value = value * 10 + digit;
-        }
-        if (!ok) {
+        if (!parseUint64(token, value)) {
+            const bool digits_only =
+                token.find_first_not_of("0123456789") == std::string::npos;
             throw std::invalid_argument(
                 "trace line " + std::to_string(line_no) +
-                ": malformed (want a non-negative integer ns "
-                "offset): " + token);
+                (digits_only ? ": offset out of range: "
+                             : ": malformed (want a non-negative integer "
+                               "ns offset): ") +
+                token);
         }
         if (!out.empty() && value < out.back()) {
             // A recording is a timeline; silently re-sorting one with

@@ -16,7 +16,7 @@ RealExecutor::schedule(Tick when, Task task)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        queue_.push(Event{when, nextSeq_++, std::move(task)});
+        queue_.push(when, std::move(task));
     }
     cv_.notify_one();
 }
@@ -31,7 +31,7 @@ RealExecutor::run()
             cv_.wait(lock);
             continue;
         }
-        const Tick due = queue_.top().when;
+        const Tick due = queue_.nextWhen();
         const Tick current = now();
         if (due > current) {
             // Sleep until the event is due or a new earlier event /
@@ -39,8 +39,7 @@ RealExecutor::run()
             cv_.wait_for(lock, std::chrono::nanoseconds(due - current));
             continue;
         }
-        Task task = std::move(const_cast<Event &>(queue_.top()).task);
-        queue_.pop();
+        Task task = queue_.pop().task;
         lock.unlock();
         task();
         lock.lock();

@@ -9,10 +9,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <queue>
-#include <vector>
 
-#include "sim/executor.h"
+#include "sim/event_queue.h"
 
 namespace mlperf {
 namespace sim {
@@ -38,28 +36,10 @@ class RealExecutor : public Executor
   private:
     using Clock = std::chrono::steady_clock;
 
-    struct Event
-    {
-        Tick when;
-        uint64_t seq;
-        Task task;
-    };
-    struct Later
-    {
-        bool
-        operator()(const Event &a, const Event &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-
     Clock::time_point epoch_ = Clock::now();
-    std::priority_queue<Event, std::vector<Event>, Later> queue_;
+    EventQueue queue_;
     mutable std::mutex mutex_;
     std::condition_variable cv_;
-    uint64_t nextSeq_ = 0;
     bool stopped_ = false;
 };
 

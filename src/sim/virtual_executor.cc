@@ -13,7 +13,7 @@ VirtualExecutor::schedule(Tick when, Task task)
     const Tick current = now_.load(std::memory_order_relaxed);
     if (when < current)
         when = current;
-    queue_.push(Event{when, nextSeq_++, std::move(task)});
+    queue_.push(when, std::move(task));
 }
 
 void
@@ -26,12 +26,9 @@ VirtualExecutor::run()
             std::lock_guard<std::mutex> lock(mutex_);
             if (queue_.empty())
                 break;
-            // priority_queue::top() is const; the task must be moved
-            // out, so we copy the POD fields and const_cast the task.
-            const Event &top = queue_.top();
-            now_.store(top.when, std::memory_order_release);
-            task = std::move(const_cast<Event &>(top).task);
-            queue_.pop();
+            EventQueue::Event next = queue_.pop();
+            now_.store(next.when, std::memory_order_release);
+            task = std::move(next.task);
         }
         ++eventsProcessed_;
         task();

@@ -9,10 +9,8 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <queue>
-#include <vector>
 
-#include "sim/executor.h"
+#include "sim/event_queue.h"
 
 namespace mlperf {
 namespace sim {
@@ -39,30 +37,12 @@ class VirtualExecutor : public Executor
     uint64_t eventsProcessed() const { return eventsProcessed_; }
 
   private:
-    struct Event
-    {
-        Tick when;
-        uint64_t seq;
-        Task task;
-    };
-    struct Later
-    {
-        bool
-        operator()(const Event &a, const Event &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-
-    std::priority_queue<Event, std::vector<Event>, Later> queue_;
+    EventQueue queue_;
     std::mutex mutex_;
     // now_/stopped_ are atomic so foreign threads (SUT workers) may
     // call now() and stop() without racing the event loop, matching
     // the Executor contract.
     std::atomic<Tick> now_{0};
-    uint64_t nextSeq_ = 0;
     uint64_t eventsProcessed_ = 0;
     std::atomic<bool> stopped_{false};
 };

@@ -3,28 +3,44 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 
 namespace mlperf {
 namespace stats {
 
+namespace {
+
+/** 0-based index of the nearest-rank p-th percentile among n samples. */
+size_t
+nearestRankIndex(size_t n, double p)
+{
+    assert(n > 0);
+    assert(p > 0.0 && p <= 1.0);
+    // Nearest-rank: index ceil(p * N) in 1-based terms.
+    const size_t rank =
+        static_cast<size_t>(std::ceil(p * static_cast<double>(n)));
+    const size_t idx = (rank == 0 ? 0 : rank - 1);
+    return std::min(idx, n - 1);
+}
+
+} // namespace
+
 uint64_t
 percentileSorted(const std::vector<uint64_t> &sorted, double p)
 {
-    assert(!sorted.empty());
-    assert(p > 0.0 && p <= 1.0);
-    // Nearest-rank: index ceil(p * N) in 1-based terms.
-    const size_t rank = static_cast<size_t>(
-        std::ceil(p * static_cast<double>(sorted.size())));
-    const size_t idx = (rank == 0 ? 0 : rank - 1);
-    return sorted[std::min(idx, sorted.size() - 1)];
+    return sorted[nearestRankIndex(sorted.size(), p)];
 }
 
 uint64_t
 percentile(const std::vector<uint64_t> &samples, double p)
 {
-    std::vector<uint64_t> sorted(samples);
-    std::sort(sorted.begin(), sorted.end());
-    return percentileSorted(sorted, p);
+    // Selection, not a sort: the element nth_element puts at the rank
+    // is the one a full sort would put there.
+    std::vector<uint64_t> copy(samples);
+    const auto nth = copy.begin() + static_cast<std::ptrdiff_t>(
+                                        nearestRankIndex(copy.size(), p));
+    std::nth_element(copy.begin(), nth, copy.end());
+    return *nth;
 }
 
 LatencySummary

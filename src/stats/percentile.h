@@ -21,8 +21,9 @@ namespace stats {
 /**
  * Nearest-rank percentile: the smallest value such that at least
  * p fraction of samples are <= it. @p p in (0, 1].
- * The input vector is copied and sorted; for repeated queries over the
- * same data use LatencySummary instead.
+ * The input vector is copied and the rank found by selection
+ * (std::nth_element, linear time); for several percentiles of the
+ * same data use LatencySummary, which sorts once.
  */
 uint64_t percentile(const std::vector<uint64_t> &samples, double p);
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "common/logging.h"
@@ -177,6 +178,47 @@ TEST(Server, LatencyMeasuredFromScheduledArrival)
     const TestResult r = lg.startTest(sut, qsl, s);
     // Some queries must have waited: max latency > service time.
     EXPECT_GT(r.latency.maxNs, 8u * kNsPerMs);
+}
+
+TEST(Server, TailFieldsMatchSortedPercentiles)
+{
+    // The run's tail fields come from selection; recompute each one
+    // from the recorded timeline by sorting.
+    sim::VirtualExecutor ex;
+    SerialSut sut(ex, 8 * kNsPerMs);
+    FakeQsl qsl(100, 64);
+    TestSettings s = TestSettings::forScenario(Scenario::Server);
+    s.serverTargetQps = 115.0;  // near saturation: a long, varied tail
+    s.targetLatencyNs = 40 * kNsPerMs;
+    s.maxQueryCount = 3000;
+    s.recordTimeline = true;
+    for (double tail : {0.99, 0.9, 0.5}) {
+        s.tailPercentile = tail;
+        LoadGen lg(ex);
+        const TestResult r = lg.startTest(sut, qsl, s);
+        ASSERT_EQ(r.timeline.size(), 3000u);
+        std::vector<uint64_t> scheduled, issued;
+        for (const auto &q : r.timeline) {
+            scheduled.push_back(q.completed - q.scheduled);
+            issued.push_back(q.completed - q.issued);
+        }
+        std::sort(scheduled.begin(), scheduled.end());
+        std::sort(issued.begin(), issued.end());
+        const auto nearest = [](const std::vector<uint64_t> &sorted,
+                                double p) {
+            const size_t rank = static_cast<size_t>(
+                std::ceil(p * static_cast<double>(sorted.size())));
+            return sorted[rank - 1];
+        };
+        EXPECT_EQ(r.tailLatencyNs, nearest(scheduled, tail));
+        EXPECT_EQ(r.correctedTailLatencyNs, nearest(scheduled, tail));
+        EXPECT_EQ(r.issuedTailLatencyNs, nearest(issued, tail));
+        EXPECT_EQ(r.latency.p99, nearest(scheduled, 0.99));
+        EXPECT_EQ(r.latency.p50, nearest(scheduled, 0.50));
+        EXPECT_EQ(r.latency.maxNs, scheduled.back());
+        // Not a degenerate tail: the queue builds up.
+        EXPECT_GT(r.latency.p99, r.latency.p50);
+    }
 }
 
 TEST(Server, RunExtendsToMeetMinimumDuration)

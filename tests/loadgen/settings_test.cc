@@ -253,6 +253,34 @@ TEST(Validity, OfflineFloorIsOnSamples)
     EXPECT_FALSE(r.valid);
 }
 
+TEST(Validity, OfflineErrorSamplesVoidTheRun)
+{
+    // Offline has no latency bound to charge an error response
+    // against, so one shed, timed-out or failed sample voids the run.
+    TestSettings s = TestSettings::forScenario(Scenario::Offline);
+    TestResult r;
+    r.scenario = Scenario::Offline;
+    r.queryCount = 1;
+    r.sampleCount = 24576;
+    determineValidity(r, s);
+    EXPECT_TRUE(r.valid);
+    r.degradedSamples = 10;  // served by a fallback: still an answer
+    determineValidity(r, s);
+    EXPECT_TRUE(r.valid);
+    for (uint64_t TestResult::*errors :
+         {&TestResult::shedSamples, &TestResult::timeoutSamples,
+          &TestResult::failedSamples}) {
+        r.*errors = 1;
+        determineValidity(r, s);
+        EXPECT_FALSE(r.valid);
+        EXPECT_TRUE(r.minQueriesMet && r.minDurationMet &&
+                    r.latencyBoundMet);
+        EXPECT_NE(r.summary().find("1 samples completed with an error"),
+                  std::string::npos);
+        r.*errors = 0;
+    }
+}
+
 TEST(ScenarioNames, AllNamed)
 {
     EXPECT_EQ(scenarioName(Scenario::SingleStream), "SingleStream");

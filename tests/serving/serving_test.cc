@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/logging.h"
 #include "harness/experiment.h"
 #include "loadgen/loadgen.h"
 #include "report/serving_report.h"
@@ -458,6 +459,51 @@ TEST(ServingSut, OfflineQueryIsSplitIntoMaxSizeBatches)
     EXPECT_EQ(snapshot.sizeFlushes, 31u);   // 31 x 32 = 992
     EXPECT_EQ(snapshot.drainFlushes, 1u);   // +8 drained by flush
     EXPECT_EQ(delegate.responses().size(), 1000u);
+}
+
+TEST(ServingSut, OfflineWithShedSamplesIsInvalidAtTheServedRate)
+{
+    // The default 64-batch queue cannot hold a 4,096-sample Offline
+    // query: the batcher forms 512 batches of 8 at once and the queue
+    // sheds every batch past its capacity. The shed samples come back
+    // at once, so counting them as completed inflated the rate several
+    // times over and the run read VALID.
+    sim::VirtualExecutor ex;
+    FakeInference inference(1 * kNsPerMs);
+    ServingSut sut(ex, inference);
+    StubQsl qsl;
+
+    loadgen::TestSettings settings =
+        loadgen::TestSettings::forScenario(loadgen::Scenario::Offline);
+    settings.offlineSampleCount = 4096;
+    loadgen::LoadGen lg(ex);
+    // Each of the ~440 shed batches would log a warning.
+    const LogLevel old_level = Logger::level();
+    Logger::setLevel(LogLevel::Error);
+    const loadgen::TestResult result = lg.startTest(sut, qsl, settings);
+    Logger::setLevel(old_level);
+
+    const StatsSnapshot snapshot = sut.stats();
+    ASSERT_GT(result.shedSamples, 0u);
+    EXPECT_EQ(result.shedSamples, snapshot.samplesShed);
+    EXPECT_EQ(result.sampleCount, 4096u);
+    EXPECT_EQ(result.droppedQueries, 0u);
+    EXPECT_TRUE(result.minQueriesMet);
+    EXPECT_FALSE(result.valid);
+    EXPECT_NE(result.summary().find("Result is : INVALID"),
+              std::string::npos);
+
+    // The rate counts only the samples the workers served.
+    const uint64_t served = result.sampleCount - result.errorSamples();
+    EXPECT_EQ(served, snapshot.samplesCompleted);
+    EXPECT_EQ(served, inference.samples_.load());
+    ASSERT_GT(result.durationNs, 0u);
+    EXPECT_DOUBLE_EQ(result.completedQps,
+                     static_cast<double>(served) * 1e9 /
+                         static_cast<double>(result.durationNs));
+    EXPECT_LT(result.completedQps * 4.0,
+              static_cast<double>(result.sampleCount) * 1e9 /
+                  static_cast<double>(result.durationNs));
 }
 
 // --------------------------------------- adapters, harness, report

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -91,6 +94,62 @@ TEST(FractionOver, ConsistentWithPercentile)
         v.push_back(rng.nextBelow(1000000));
     const uint64_t p90 = percentile(v, 0.90);
     EXPECT_LE(fractionOver(v, p90), 0.10);
+}
+
+/** Nearest rank by the definition: sort, then index ceil(p * n). */
+uint64_t
+sortedNearestRank(std::vector<uint64_t> v, double p)
+{
+    std::sort(v.begin(), v.end());
+    const double rank = std::ceil(p * static_cast<double>(v.size()));
+    const size_t idx = rank < 1.0 ? 0 : static_cast<size_t>(rank) - 1;
+    return v[std::min(idx, v.size() - 1)];
+}
+
+TEST(Percentile, SelectionEqualsSortedNearestRank)
+{
+    // Heavy duplicates (values from 0..3), wide values, every size up
+    // to 300 plus a few large ones, and p from the smallest positive
+    // double up to 1.
+    const std::vector<double> ps = {
+        std::numeric_limits<double>::denorm_min(), 1e-12, 1e-3, 0.1,
+        0.5, 0.9, 0.97, 0.99, 0.999, 1.0 - 1e-12, 1.0};
+    Rng rng(2020);
+    std::vector<size_t> sizes;
+    for (size_t n = 1; n <= 300; ++n)
+        sizes.push_back(n);
+    sizes.insert(sizes.end(), {1000, 4097, 65536});
+    for (size_t n : sizes) {
+        for (uint64_t range : {uint64_t{4}, uint64_t{1} << 40}) {
+            std::vector<uint64_t> v(n);
+            for (auto &x : v)
+                x = rng.nextBelow(range);
+            const std::vector<uint64_t> before = v;
+            for (double p : ps) {
+                ASSERT_EQ(percentile(v, p), sortedNearestRank(v, p))
+                    << "n " << n << " p " << p << " range " << range;
+            }
+            const double p = 1e-6 + rng.nextDouble() * (1.0 - 1e-6);
+            ASSERT_EQ(percentile(v, p), sortedNearestRank(v, p))
+                << "n " << n << " p " << p;
+            ASSERT_EQ(v, before);  // the input is not reordered
+        }
+    }
+}
+
+TEST(Percentile, SingleElementAtExtremeRanks)
+{
+    const std::vector<uint64_t> v = {7};
+    EXPECT_EQ(percentile(v, std::numeric_limits<double>::denorm_min()),
+              7u);
+    EXPECT_EQ(percentile(v, 1.0), 7u);
+}
+
+TEST(Percentile, AllEqualValues)
+{
+    const std::vector<uint64_t> v(1001, 5);
+    for (double p : {1e-9, 0.5, 0.99, 1.0})
+        EXPECT_EQ(percentile(v, p), 5u);
 }
 
 } // namespace
